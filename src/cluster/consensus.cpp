@@ -8,9 +8,12 @@
 
 namespace spechd::cluster {
 
-std::vector<std::uint32_t> medoids(const flat_clustering& clustering,
-                                   const hdc::distance_matrix_f32& original) {
-  SPECHD_EXPECTS(clustering.labels.size() == original.size());
+namespace {
+
+/// The medoid loop over any distance accessor: dist(i, j) returns the float
+/// distance of items i != j, summed in double in member order.
+template <typename Distance>
+std::vector<std::uint32_t> medoids_by(const flat_clustering& clustering, Distance dist) {
   // Group member indices by cluster label.
   std::vector<std::vector<std::uint32_t>> members(clustering.cluster_count);
   for (std::uint32_t i = 0; i < clustering.labels.size(); ++i) {
@@ -31,7 +34,7 @@ std::vector<std::uint32_t> medoids(const flat_clustering& clustering,
     for (const auto i : m) {
       double sum = 0.0;
       for (const auto j : m) {
-        if (i != j) sum += original.at(i, j);
+        if (i != j) sum += dist(i, j);
       }
       const double avg = sum / static_cast<double>(m.size() - 1);
       if (avg < best) {
@@ -42,6 +45,48 @@ std::vector<std::uint32_t> medoids(const flat_clustering& clustering,
     result[c] = best_idx;
   }
   return result;
+}
+
+std::vector<ms::spectrum> consensus_from(const flat_clustering& clustering,
+                                         const std::vector<std::uint32_t>& reps,
+                                         const std::vector<ms::spectrum>& spectra,
+                                         double bin_width) {
+  std::vector<std::vector<const ms::spectrum*>> members(clustering.cluster_count);
+  for (std::size_t i = 0; i < spectra.size(); ++i) {
+    const auto label = clustering.labels[i];
+    if (label >= 0) members[static_cast<std::size_t>(label)].push_back(&spectra[i]);
+  }
+
+  std::vector<ms::spectrum> result;
+  result.reserve(clustering.cluster_count);
+  for (std::size_t c = 0; c < clustering.cluster_count; ++c) {
+    if (members[c].empty()) continue;
+    if (members[c].size() == 1) {
+      result.push_back(*members[c][0]);
+    } else {
+      result.push_back(merge_consensus(members[c], spectra[reps[c]], bin_width));
+    }
+  }
+  return result;
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> medoids(const flat_clustering& clustering,
+                                   const hdc::distance_matrix_f32& original) {
+  SPECHD_EXPECTS(clustering.labels.size() == original.size());
+  return medoids_by(clustering,
+                    [&](std::uint32_t i, std::uint32_t j) { return original.at(i, j); });
+}
+
+std::vector<std::uint32_t> medoids(const flat_clustering& clustering,
+                                   const std::vector<hdc::hypervector>& hvs) {
+  SPECHD_EXPECTS(clustering.labels.size() == hvs.size());
+  return medoids_by(clustering, [&](std::uint32_t i, std::uint32_t j) {
+    // pairwise_hamming_f32's value: divide in double, narrow to float.
+    return static_cast<float>(static_cast<double>(hdc::hamming(hvs[i], hvs[j])) /
+                              static_cast<double>(hvs[i].dim()));
+  });
 }
 
 ms::spectrum merge_consensus(const std::vector<const ms::spectrum*>& members,
@@ -85,25 +130,15 @@ std::vector<ms::spectrum> consensus_spectra(const flat_clustering& clustering,
                                             const std::vector<ms::spectrum>& spectra,
                                             double bin_width) {
   SPECHD_EXPECTS(clustering.labels.size() == spectra.size());
-  const auto reps = medoids(clustering, original);
+  return consensus_from(clustering, medoids(clustering, original), spectra, bin_width);
+}
 
-  std::vector<std::vector<const ms::spectrum*>> members(clustering.cluster_count);
-  for (std::size_t i = 0; i < spectra.size(); ++i) {
-    const auto label = clustering.labels[i];
-    if (label >= 0) members[static_cast<std::size_t>(label)].push_back(&spectra[i]);
-  }
-
-  std::vector<ms::spectrum> result;
-  result.reserve(clustering.cluster_count);
-  for (std::size_t c = 0; c < clustering.cluster_count; ++c) {
-    if (members[c].empty()) continue;
-    if (members[c].size() == 1) {
-      result.push_back(*members[c][0]);
-    } else {
-      result.push_back(merge_consensus(members[c], spectra[reps[c]], bin_width));
-    }
-  }
-  return result;
+std::vector<ms::spectrum> consensus_spectra(const flat_clustering& clustering,
+                                            const std::vector<hdc::hypervector>& hvs,
+                                            const std::vector<ms::spectrum>& spectra,
+                                            double bin_width) {
+  SPECHD_EXPECTS(clustering.labels.size() == spectra.size());
+  return consensus_from(clustering, medoids(clustering, hvs), spectra, bin_width);
 }
 
 }  // namespace spechd::cluster

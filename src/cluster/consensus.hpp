@@ -14,6 +14,7 @@
 
 #include "cluster/dendrogram.hpp"
 #include "hdc/distance.hpp"
+#include "hdc/hypervector.hpp"
 #include "ms/spectrum.hpp"
 
 namespace spechd::cluster {
@@ -22,6 +23,13 @@ namespace spechd::cluster {
 /// original (pre-merge) distance matrix. Clusters are indexed by label.
 std::vector<std::uint32_t> medoids(const flat_clustering& clustering,
                                    const hdc::distance_matrix_f32& original);
+
+/// The same medoids computed from the items' hypervectors: only in-cluster
+/// pairs are measured, each exactly as pairwise_hamming_f32 would store it,
+/// so the choice (tie-break included) is bit-identical to the matrix form
+/// without building the n×n matrix.
+std::vector<std::uint32_t> medoids(const flat_clustering& clustering,
+                                   const std::vector<hdc::hypervector>& hvs);
 
 /// Builds a merged consensus spectrum from cluster members: fragment m/z
 /// binned at `bin_width`, per-bin intensity averaged over members, bin
@@ -33,6 +41,12 @@ ms::spectrum merge_consensus(const std::vector<const ms::spectrum*>& members,
 /// cluster (medoid metadata, merged peaks); singletons pass through.
 std::vector<ms::spectrum> consensus_spectra(const flat_clustering& clustering,
                                             const hdc::distance_matrix_f32& original,
+                                            const std::vector<ms::spectrum>& spectra,
+                                            double bin_width = 0.05);
+
+/// Same, with medoids chosen from the spectra's hypervectors (see above).
+std::vector<ms::spectrum> consensus_spectra(const flat_clustering& clustering,
+                                            const std::vector<hdc::hypervector>& hvs,
                                             const std::vector<ms::spectrum>& spectra,
                                             double bin_width = 0.05);
 

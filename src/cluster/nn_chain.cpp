@@ -1,5 +1,6 @@
 #include "cluster/nn_chain.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -53,15 +54,87 @@ struct merge_record {
   double size_b = 0.0;  ///< |keep| at merge time
 };
 
+/// A pairwise distance entry as the working matrix holds it. Both fills
+/// convert through here, so they write the same bits.
+template <typename Policy, typename ElemT>
+ElemT working_value(float entry) noexcept {
+  return static_cast<ElemT>(Policy::store(static_cast<double>(entry)));
+}
+template <typename Policy, typename ElemT>
+ElemT working_value(q16 entry) noexcept {
+  // Q0.16 grid values are fixed points of the store rounding, so no
+  // explicit Policy::store pass is needed. raw * 2^-16 in float is exact
+  // (<= 16 mantissa bits times a power of two), i.e. bit-identical to
+  // to_double() + narrowing, and it vectorises.
+  return static_cast<ElemT>(static_cast<float>(entry.raw()) * (1.0F / 65536.0F));
+}
+
+/// Fills the off-diagonal entries of the flat n×n working matrix from a
+/// condensed matrix: pass 1 converts each condensed row into its matrix row,
+/// pass 2 mirrors the lower triangle into the upper one.
+template <typename Policy, typename ElemT, typename Matrix>
+void fill_from_condensed(const Matrix& input, ElemT* d) {
+  const std::size_t n = input.size();
+  // Pass 1: convert each condensed row into its matrix row (contiguous
+  // reads and writes, auto-vectorisable).
+  const auto* src = input.data().data();
+  for (std::size_t i = 1; i < n; ++i) {
+    ElemT* row = d + i * n;
+    const auto* src_row = src + i * (i - 1) / 2;
+    for (std::size_t j = 0; j < i; ++j) row[j] = working_value<Policy, ElemT>(src_row[j]);
+  }
+  // Pass 2: mirror into the upper triangle through a 64×64 staging tile —
+  // gathers stay inside one L1-resident tile and every matrix write is a
+  // contiguous row segment, where a per-entry d[j*n+i] scatter would walk
+  // a full column stride (a cache miss) per write.
+  constexpr std::size_t block = 64;
+  ElemT tile[block * block];
+  for (std::size_t i0 = 0; i0 < n; i0 += block) {
+    const std::size_t i1 = std::min(n, i0 + block);
+    for (std::size_t j0 = 0; j0 < i0; j0 += block) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        const ElemT* row = d + i * n + j0;
+        for (std::size_t jj = 0; jj < block; ++jj) tile[jj * block + (i - i0)] = row[jj];
+      }
+      for (std::size_t j = j0; j < j0 + block; ++j) {
+        ElemT* out = d + j * n + i0;
+        const ElemT* tile_row = tile + (j - j0) * block;
+        for (std::size_t ii = 0; ii < i1 - i0; ++ii) out[ii] = tile_row[ii];
+      }
+    }
+    // Diagonal block: small triangle, mirrored in place.
+    for (std::size_t i = i0 + 1; i < i1; ++i) {
+      const ElemT* row = d + i * n;
+      for (std::size_t j = i0; j < i; ++j) d[j * n + i] = row[j];
+    }
+  }
+}
+
+/// The count → working-value table of the hypervector fill, built once per
+/// thread and dimension: entry c is value(c, dim).
+template <typename ElemT, typename Value>
+const ElemT* count_table(std::size_t dim, Value value) {
+  thread_local std::vector<ElemT> table;
+  thread_local std::size_t table_dim = 0;
+  if (table.empty() || table_dim != dim) {
+    table.resize(dim + 1);
+    for (std::size_t c = 0; c <= dim; ++c) table[c] = value(c, dim);
+    table_dim = dim;
+  }
+  return table.data();
+}
+
 /// ElemT is the working matrix's element type. double always reproduces
 /// the condensed reference bit-for-bit. float is used whenever every
 /// reachable working value is exactly float-representable — q16-grid
 /// stores (any linkage), or min/max linkages whose Lance–Williams update
 /// only ever selects one of two existing values — halving the memory
 /// traffic of the scan-dominated inner loop with provably identical bits.
-template <typename Policy, typename ElemT, typename Matrix>
-hac_result nn_chain_flat_impl(const Matrix& input, linkage link) {
-  const std::size_t n = input.size();
+///
+/// `fill(d)` writes every off-diagonal entry of the n×n working matrix; the
+/// merge loop below is shared by every input form.
+template <typename Policy, typename ElemT, typename Fill>
+hac_result nn_chain_flat_impl(std::size_t n, linkage link, Fill fill) {
   hac_result result;
   if (n <= 1) {
     result.tree = dendrogram(n, {});
@@ -69,14 +142,14 @@ hac_result nn_chain_flat_impl(const Matrix& input, linkage link) {
   }
   constexpr ElemT elem_inf = std::numeric_limits<ElemT>::infinity();
 
-  // Flat row-major n×n working matrix in double precision (Policy rounds
-  // stores). Only the survivor's row is rewritten eagerly at a merge (one
-  // contiguous kernel pass); every other row repairs itself lazily by
-  // replaying the merge log just before it is scanned. That replay applies
-  // the exact per-entry operation sequence the eager column mirror would
-  // have — same operands, same order, same store rounding, so the result
-  // is bit-identical — but it turns O(n) strided column writes per merge
-  // (a cache miss each) into a handful of in-cache row writes per scan.
+  // Flat row-major n×n working matrix (Policy rounds stores). Only the
+  // survivor's row is rewritten eagerly at a merge (one contiguous kernel
+  // pass); every other row repairs itself lazily by replaying the merge log
+  // just before it is scanned. That replay applies the exact per-entry
+  // operation sequence the eager column mirror would have — same operands,
+  // same order, same store rounding, so the result is bit-identical — but
+  // it turns O(n) strided column writes per merge (a cache miss each) into
+  // a handful of in-cache row writes per scan.
   // The diagonal is parked at +inf so the masked argmin never picks self;
   // retired columns keep stale values and are masked by `active`.
   // The matrix lives in an arena checked out of the shared pool: per-bucket
@@ -84,62 +157,12 @@ hac_result nn_chain_flat_impl(const Matrix& input, linkage link) {
   // allocations instead of one thread_local arena per worker (which pinned
   // threads × largest-bucket² bytes forever); the pool's high-water
   // trimming releases a one-off giant bucket's arena on return. The arena
-  // hands back uninitialised scratch — every entry is written below (pass 1
-  // fills the lower triangle, pass 2 mirrors it, the diagonal is set last)
-  // before anything reads it.
+  // hands back uninitialised scratch — `fill` writes every off-diagonal
+  // entry and the diagonal is set right after, before anything reads it.
   arena_lease scratch = arena_pool::global().checkout(n * n * sizeof(ElemT));
   ElemT* const d = scratch.as<ElemT>(n * n);
-  {
-    // Pass 1: convert each condensed row into its matrix row (contiguous
-    // reads and writes, auto-vectorisable).
-    const auto* src = input.data().data();
-    for (std::size_t i = 1; i < n; ++i) {
-      ElemT* row = d + i * n;
-      const auto* src_row = src + i * (i - 1) / 2;
-      if constexpr (std::is_same_v<Matrix, hdc::distance_matrix_q16>) {
-        // Q0.16 grid values are fixed points of the store rounding, so no
-        // explicit Policy::store pass is needed on load. raw * 2^-16 in
-        // float is exact (<= 16 mantissa bits times a power of two), i.e.
-        // bit-identical to to_double() + narrowing, and it vectorises.
-        for (std::size_t j = 0; j < i; ++j) {
-          row[j] = static_cast<ElemT>(static_cast<float>(src_row[j].raw()) *
-                                      (1.0F / 65536.0F));
-        }
-      } else {
-        for (std::size_t j = 0; j < i; ++j) {
-          row[j] = static_cast<ElemT>(Policy::store(static_cast<double>(src_row[j])));
-        }
-      }
-    }
-    // Pass 2: mirror into the upper triangle through a 64×64 staging tile —
-    // gathers stay inside one L1-resident tile and every matrix write is a
-    // contiguous row segment, where a per-entry d[j*n+i] scatter would walk
-    // a full column stride (a cache miss) per write.
-    constexpr std::size_t block = 64;
-    ElemT tile[block * block];
-    for (std::size_t i0 = 0; i0 < n; i0 += block) {
-      const std::size_t i1 = std::min(n, i0 + block);
-      for (std::size_t j0 = 0; j0 < i0; j0 += block) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          const ElemT* row = d + i * n + j0;
-          for (std::size_t jj = 0; jj < block; ++jj) {
-            tile[jj * block + (i - i0)] = row[jj];
-          }
-        }
-        for (std::size_t j = j0; j < j0 + block; ++j) {
-          ElemT* out = d + j * n + i0;
-          const ElemT* tile_row = tile + (j - j0) * block;
-          for (std::size_t ii = 0; ii < i1 - i0; ++ii) out[ii] = tile_row[ii];
-        }
-      }
-      // Diagonal block: small triangle, mirrored in place.
-      for (std::size_t i = i0 + 1; i < i1; ++i) {
-        const ElemT* row = d + i * n;
-        for (std::size_t j = i0; j < i; ++j) d[j * n + i] = row[j];
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) d[i * n + i] = elem_inf;
-  }
+  fill(d);
+  for (std::size_t i = 0; i < n; ++i) d[i * n + i] = elem_inf;
 
   std::vector<std::uint8_t> active(n, 1);
   std::vector<std::uint32_t> size(n, 1);
@@ -377,21 +400,56 @@ hac_result nn_chain_condensed_impl(const Matrix& input, linkage link) {
   return result;
 }
 
+template <typename Policy, typename ElemT, typename Matrix>
+hac_result nn_chain_from_condensed(const Matrix& input, linkage link) {
+  return nn_chain_flat_impl<Policy, ElemT>(
+      input.size(), link, [&](ElemT* d) { fill_from_condensed<Policy, ElemT>(input, d); });
+}
+
+/// `entry(c, dim)` is the pairwise matrix entry of Hamming count c, exactly
+/// as pairwise_hamming_f32/q16 store it; the table holds its working value.
+template <typename Policy, typename ElemT, typename Entry>
+hac_result nn_chain_from_hvs(const std::vector<hdc::hypervector>& hvs, linkage link,
+                             thread_pool* pool, Entry entry) {
+  return nn_chain_flat_impl<Policy, ElemT>(hvs.size(), link, [&](ElemT* d) {
+    const ElemT* table =
+        count_table<ElemT>(hvs.front().dim(), [&](std::size_t c, std::size_t dim) {
+          return working_value<Policy, ElemT>(entry(c, dim));
+        });
+    hdc::pairwise_hamming_square(hvs, table, d, pool);
+  });
+}
+
+/// min/max linkages only ever select existing (float-exact) values, so the
+/// f32 working matrix can be float; average/ward create genuine doubles and
+/// must run wide to stay bit-identical to the condensed reference.
+bool float_exact_f32(linkage link) noexcept {
+  return link == linkage::single || link == linkage::complete;
+}
+
 }  // namespace
 
 hac_result nn_chain_hac(const hdc::distance_matrix_f32& distances, linkage link) {
-  // min/max linkages only ever select existing (float-exact) values, so the
-  // working matrix can be float; average/ward create genuine doubles and
-  // must run wide to stay bit-identical to the condensed reference.
-  if (link == linkage::single || link == linkage::complete) {
-    return nn_chain_flat_impl<store_f64, float>(distances, link);
-  }
-  return nn_chain_flat_impl<store_f64, double>(distances, link);
+  if (float_exact_f32(link)) return nn_chain_from_condensed<store_f64, float>(distances, link);
+  return nn_chain_from_condensed<store_f64, double>(distances, link);
 }
 
 hac_result nn_chain_hac(const hdc::distance_matrix_q16& distances, linkage link) {
   // Every stored value lands on the Q0.16 grid, which float holds exactly.
-  return nn_chain_flat_impl<store_q16, float>(distances, link);
+  return nn_chain_from_condensed<store_q16, float>(distances, link);
+}
+
+hac_result nn_chain_hac(const std::vector<hdc::hypervector>& hvs, linkage link,
+                        distance_grid grid, thread_pool* pool) {
+  if (grid == distance_grid::q16) {
+    return nn_chain_from_hvs<store_q16, float>(
+        hvs, link, pool, [](std::size_t c, std::size_t dim) { return q16::from_ratio(c, dim); });
+  }
+  const auto ratio = [](std::size_t c, std::size_t dim) {
+    return static_cast<float>(static_cast<double>(c) / static_cast<double>(dim));
+  };
+  if (float_exact_f32(link)) return nn_chain_from_hvs<store_f64, float>(hvs, link, pool, ratio);
+  return nn_chain_from_hvs<store_f64, double>(hvs, link, pool, ratio);
 }
 
 hac_result nn_chain_hac_condensed(const hdc::distance_matrix_f32& distances, linkage link) {

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "hdc/cpu_kernels.hpp"
-#include "hdc/distance.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -12,20 +11,15 @@
 namespace spechd::core {
 
 cluster::hac_result bucket_hac(const std::vector<hdc::hypervector>& hvs,
-                               const spechd_config& config, thread_pool* pool,
-                               const hdc::distance_matrix_f32* prebuilt_f32) {
-  // All large scratch below — the packed-tile operand blob inside
-  // pairwise_hamming_* and the NN-chain flat working matrix — is checked
-  // out of the shared arena pool (util/arena_pool), so concurrent
-  // per-bucket calls reuse a small set of pooled allocations instead of
-  // growing one thread_local arena per worker.
-  if (config.use_fixed_point) {
-    return cluster::nn_chain_hac(hdc::pairwise_hamming_q16(hvs, pool), config.link);
-  }
-  if (prebuilt_f32 != nullptr) {
-    return cluster::nn_chain_hac(*prebuilt_f32, config.link);
-  }
-  return cluster::nn_chain_hac(hdc::pairwise_hamming_f32(hvs, pool), config.link);
+                               const spechd_config& config, thread_pool* pool) {
+  // One tiled Hamming sweep writes the NN-chain's working matrix directly;
+  // its packed operand blob and the working matrix are checked out of the
+  // shared arena pool (util/arena_pool), so concurrent per-bucket calls
+  // reuse a small set of pooled allocations instead of growing one
+  // thread_local arena per worker.
+  return cluster::nn_chain_hac(
+      hvs, config.link,
+      config.use_fixed_point ? cluster::distance_grid::q16 : cluster::distance_grid::f32, pool);
 }
 
 spechd_pipeline::spechd_pipeline(spechd_config config) : config_(std::move(config)) {}
@@ -97,12 +91,12 @@ spechd_result spechd_pipeline::run(const std::vector<ms::spectrum>& spectra) con
     bucket_hvs.reserve(bucket.size());
     for (const auto idx : bucket.members) bucket_hvs.push_back(hvs[idx]);
 
-    // Distance matrix: the f32 copy is always built for consensus (the
-    // "original distance matrix" of Sec. III-C); the cluster path goes
-    // through bucket_hac — the same code path the incremental clusterer
-    // uses — which picks the FPGA's q16 grid when configured.
-    const auto matrix_f32 = hdc::pairwise_hamming_f32(bucket_hvs, &pool);
-    cluster::hac_result hac = bucket_hac(bucket_hvs, config_, &pool, &matrix_f32);
+    // The cluster path goes through bucket_hac — the same code path the
+    // incremental clusterer uses — which picks the FPGA's q16 grid when
+    // configured. Consensus recomputes the "original distance matrix"
+    // entries of Sec. III-C it needs (pairs inside one flat cluster) from
+    // the hypervectors, so no matrix is kept for it.
+    cluster::hac_result hac = bucket_hac(bucket_hvs, config_, &pool);
     out.stats = hac.stats;
 
     auto flat = hac.tree.cut(config_.distance_threshold);
@@ -112,7 +106,7 @@ spechd_result spechd_pipeline::run(const std::vector<ms::spectrum>& spectra) con
     std::vector<ms::spectrum> bucket_spectra;
     bucket_spectra.reserve(bucket.size());
     for (const auto idx : out.original) bucket_spectra.push_back(spectra[idx]);
-    out.consensus = cluster::consensus_spectra(flat, matrix_f32, bucket_spectra);
+    out.consensus = cluster::consensus_spectra(flat, bucket_hvs, bucket_spectra);
     out.local_labels = std::move(flat.labels);
   });
   result.phases.cluster = watch.seconds();

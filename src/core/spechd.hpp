@@ -2,7 +2,7 @@
 //
 //   load -> preprocess (filter, top-k, normalise, quantise, bucket)
 //        -> ID-Level encode (Eq. 2)
-//        -> per-bucket NN-chain HAC on (fixed-point) Hamming matrices
+//        -> per-bucket NN-chain HAC on (fixed-point) Hamming distances
 //        -> threshold cut -> medoid consensus
 //
 // This is the bit-exact reference of what the FPGA executes: the q16
@@ -77,23 +77,21 @@ struct spechd_result {
 };
 
 /// Clusters one bucket's hypervectors exactly as the batch pipeline does:
-/// kernel-tiled pairwise Hamming matrix (q16 when config.use_fixed_point,
-/// f32 otherwise) into the kernel-backed NN-chain. Shared by the batch
-/// pipeline and the incremental/streaming path so the two cannot drift.
+/// one kernel-tiled Hamming sweep (q16 grid when config.use_fixed_point,
+/// f32 otherwise) straight into the kernel-backed NN-chain's working
+/// matrix. Shared by the batch pipeline and the incremental/streaming path
+/// so the two cannot drift.
 ///
 /// Parameters: `hvs` must share one dimension (checked); `pool` may be
 /// null (serial tiles) or a pool this call is itself running on —
-/// parallel_for is nested-safe. `prebuilt_f32` lets a caller that already
-/// built the float matrix (the pipeline keeps one for consensus) avoid a
-/// rebuild on the f32 path; it must be the pairwise matrix of `hvs`.
+/// parallel_for is nested-safe.
 ///
 /// Thread-safety: safe to call concurrently from many threads (the
 /// pipeline does, one call per bucket). All large scratch comes from the
 /// process-wide arena pool; the only shared mutable state. The result is
 /// deterministic for any thread count and kernel variant.
 cluster::hac_result bucket_hac(const std::vector<hdc::hypervector>& hvs,
-                               const spechd_config& config, thread_pool* pool,
-                               const hdc::distance_matrix_f32* prebuilt_f32 = nullptr);
+                               const spechd_config& config, thread_pool* pool);
 
 /// The batch pipeline. Construct once with a config, call run() per
 /// dataset; instances are cheap and carry no state besides the config.

@@ -77,4 +77,16 @@ distance_matrix_f32 pairwise_hamming_f32(const std::vector<hypervector>& hvs,
 distance_matrix_q16 pairwise_hamming_q16(const std::vector<hypervector>& hvs,
                                          spechd::thread_pool* pool = nullptr);
 
+/// The same tile sweep written straight into a full square matrix: for every
+/// pair i != j, out[i*n + j] = out[j*n + i] = lut[hamming(hvs[i], hvs[j])],
+/// with n = hvs.size(). `lut` must hold dim + 1 entries (one per possible
+/// count); the diagonal is left unwritten. Each tile writes its row segments
+/// and its transposed column segments directly, so no condensed copy sits
+/// in between — this is the NN-chain's working-matrix fill. Block rows write
+/// disjoint ranges, so the result is deterministic for any thread count.
+void pairwise_hamming_square(const std::vector<hypervector>& hvs, const float* lut,
+                             float* out, spechd::thread_pool* pool = nullptr);
+void pairwise_hamming_square(const std::vector<hypervector>& hvs, const double* lut,
+                             double* out, spechd::thread_pool* pool = nullptr);
+
 }  // namespace spechd::hdc

@@ -1,11 +1,11 @@
 #include "ms/mgf.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -24,6 +24,21 @@ bool parse_double(std::string_view s, double& out) {
   const char* last = s.data() + s.size();
   auto [ptr, ec] = std::from_chars(first, last, out);
   return ec == std::errc{} && ptr == last;
+}
+
+/// Pops the next space- or tab-separated token off the front of `s`
+/// (empty when none is left).
+std::string_view next_token(std::string_view& s) {
+  const auto begin = s.find_first_not_of(" \t");
+  if (begin == std::string_view::npos) {
+    s = {};
+    return {};
+  }
+  s.remove_prefix(begin);
+  const auto end = std::min(s.find_first_of(" \t"), s.size());
+  const std::string_view token = s.substr(0, end);
+  s.remove_prefix(end);
+  return token;
 }
 
 /// CHARGE values look like "2+", "3+", "2", or "2+ and 3+" (we take the
@@ -98,11 +113,14 @@ std::vector<spectrum> read_mgf(std::istream& in, const std::string& source_name)
       continue;
     }
 
-    // Peak line: "mz intensity [charge]".
-    std::istringstream ps{std::string(v)};
+    // Peak line: "mz intensity [charge]", split on spaces or tabs; the
+    // optional charge column is ignored.
+    std::string_view rest = v;
+    const std::string_view mz_str = next_token(rest);
+    const std::string_view intensity_str = next_token(rest);
     double mz = 0.0;
     double intensity = 0.0;
-    if (!(ps >> mz >> intensity)) {
+    if (!parse_double(mz_str, mz) || !parse_double(intensity_str, intensity)) {
       throw parse_error(source_name, line_no, "bad peak line: " + std::string(v));
     }
     current.peaks.push_back({mz, static_cast<float>(intensity)});

@@ -145,7 +145,13 @@ server::server(serve::clustering_service& service, server_config config)
   thread_ = std::thread([this] { loop(); });
 }
 
-server::~server() { stop(); }
+server::~server() {
+  stop();
+  // The wakeup eventfd outlives the loop thread: request_stop() may run
+  // after the loop has exited (stop() twice, the destructor, the signal
+  // path), and it must never write into an fd number the process reused.
+  ::close(wake_fd_);
+}
 
 void server::request_stop() noexcept {
   // Only async-signal-safe operations: one relaxed store + one write(2).
@@ -241,7 +247,6 @@ void server::loop() {
   open_.store(0, std::memory_order_relaxed);
   ::close(listen_fd_);
   ::close(epoll_fd_);
-  ::close(wake_fd_);
   listen_fd_ = epoll_fd_ = -1;
 }
 

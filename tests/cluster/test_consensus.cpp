@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace spechd::cluster {
 namespace {
 
@@ -37,6 +39,51 @@ TEST(Medoids, SizeMismatchThrows) {
   c.labels = {0};
   c.cluster_count = 1;
   EXPECT_THROW(medoids(c, m), logic_error);
+}
+
+/// Random hypervectors with exact duplicates, and labels that make
+/// singletons, an empty label and clusters whose members tie on average
+/// distance (a duplicated pair and its partner: {a, a, b, b} ties all four).
+struct hv_case {
+  std::vector<hdc::hypervector> hvs;
+  flat_clustering clustering;
+};
+
+hv_case tied_hv_case(std::uint64_t seed) {
+  xoshiro256ss rng(seed);
+  hv_case out;
+  const auto a = hdc::hypervector::random(256, rng);
+  const auto b = hdc::hypervector::random(256, rng);
+  out.hvs = {a, a, b, b};  // cluster 0: four-way tie
+  out.clustering.labels = {0, 0, 0, 0};
+  for (std::size_t i = 4; i < 60; ++i) {
+    // Every third vector repeats an earlier one, so in-cluster ties recur.
+    out.hvs.push_back(i % 3 == 0 ? out.hvs[rng.bounded(i)]
+                                 : hdc::hypervector::random(256, rng));
+    out.clustering.labels.push_back(1 + static_cast<std::int32_t>(rng.bounded(7)));
+  }
+  out.clustering.labels.push_back(9);  // label 8 stays empty
+  out.hvs.push_back(hdc::hypervector::random(256, rng));
+  out.clustering.cluster_count = 10;
+  return out;
+}
+
+TEST(Medoids, HypervectorFormMatchesMatrixForm) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto c = tied_hv_case(seed);
+    const auto want = medoids(c.clustering, hdc::pairwise_hamming_f32(c.hvs));
+    EXPECT_EQ(medoids(c.clustering, c.hvs), want) << "seed " << seed;
+    EXPECT_EQ(want[0], 0U) << "a four-way tie keeps the first member";
+  }
+}
+
+TEST(Medoids, HypervectorSizeMismatchThrows) {
+  xoshiro256ss rng(1);
+  const std::vector<hdc::hypervector> hvs(2, hdc::hypervector::random(64, rng));
+  flat_clustering c;
+  c.labels = {0};
+  c.cluster_count = 1;
+  EXPECT_THROW(medoids(c, hvs), logic_error);
 }
 
 TEST(MergeConsensus, AveragesSharedBins) {
@@ -100,6 +147,25 @@ TEST(ConsensusSpectra, ConsensusPeaksSorted) {
   ASSERT_EQ(reps.size(), 1U);
   EXPECT_TRUE(ms::peaks_sorted(reps[0]));
   EXPECT_EQ(reps[0].peaks.size(), 4U);
+}
+
+TEST(ConsensusSpectra, HypervectorFormMatchesMatrixForm) {
+  const auto c = tied_hv_case(7);
+  std::vector<ms::spectrum> spectra(c.hvs.size());
+  for (std::size_t i = 0; i < spectra.size(); ++i) {
+    spectra[i].title = "s" + std::to_string(i);
+    spectra[i].precursor_mz = 400.0 + static_cast<double>(i);
+    spectra[i].peaks = {{100.0 + static_cast<double>(i % 5), 1.0F + static_cast<float>(i)},
+                        {250.5, 2.0F}};
+  }
+  const auto want = consensus_spectra(c.clustering, hdc::pairwise_hamming_f32(c.hvs), spectra);
+  const auto got = consensus_spectra(c.clustering, c.hvs, spectra);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].title, want[k].title) << k;
+    EXPECT_EQ(got[k].precursor_mz, want[k].precursor_mz) << k;
+    EXPECT_EQ(got[k].peaks, want[k].peaks) << k;
+  }
 }
 
 }  // namespace

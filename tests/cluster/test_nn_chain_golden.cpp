@@ -12,6 +12,10 @@
 // The SIMD variants of nearest_active_scan / lance_williams_row_update are
 // swept explicitly: every supported variant must reproduce the scalar
 // dispatch bit for bit.
+//
+// The hypervector overload (the batch pipeline's path: one Hamming sweep
+// straight into the working matrix) must equal the condensed reference run
+// on pairwise_hamming_f32/q16 of the same hypervectors.
 #include "cluster/nn_chain.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +25,9 @@
 
 #include "cluster/naive_hac.hpp"
 #include "hdc/cpu_kernels.hpp"
+#include "hdc/distance.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spechd::cluster {
 namespace {
@@ -268,6 +274,80 @@ TEST(NnChainGolden, PermutationInvariantHeights) {
       }
     }
   }
+}
+
+// --- fused hypervector path --------------------------------------------------
+
+/// Noisy copies of a few random prototypes, each copy with its own flip
+/// rate, so distances span tight clusters, loose ones and the ~0.5 bulk of
+/// unrelated pairs; every eleventh vector duplicates its predecessor, so
+/// zero distances tie too. Integer Hamming counts tie often on their own.
+std::vector<hdc::hypervector> clustered_hvs(std::size_t n, std::size_t dim,
+                                            std::uint64_t seed) {
+  xoshiro256ss rng(seed);
+  std::vector<hdc::hypervector> prototypes;
+  for (int k = 0; k < 6; ++k) prototypes.push_back(hdc::hypervector::random(dim, rng));
+  std::vector<hdc::hypervector> hvs;
+  hvs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 11 == 10) {
+      hvs.push_back(hvs.back());
+      continue;
+    }
+    auto hv = prototypes[rng.bounded(prototypes.size())];
+    const double flip = 0.02 + 0.03 * static_cast<double>(rng.bounded(8));
+    for (std::size_t b = 0; b < dim; ++b) {
+      if (rng.bernoulli(flip)) hv.flip(b);
+    }
+    hvs.push_back(std::move(hv));
+  }
+  return hvs;
+}
+
+void expect_same_stats(const hac_stats& got, const hac_stats& want, const std::string& what) {
+  EXPECT_EQ(got.comparisons, want.comparisons) << what;
+  EXPECT_EQ(got.distance_updates, want.distance_updates) << what;
+  EXPECT_EQ(got.chain_pushes, want.chain_pushes) << what;
+  EXPECT_EQ(got.merges, want.merges) << what;
+}
+
+TEST(NnChainGolden, FusedHypervectorsMatchCondensed) {
+  // D_hv = 2048 is the paper's; at a power of two count/dim is exact in
+  // float and on the Q0.16 grid, so 1472 (23 words) also checks that the
+  // fused path rounds each count exactly as the condensed matrices do.
+  constexpr std::size_t dims[] = {2048, 1472};
+  constexpr std::size_t sizes[] = {0, 1, 2, 63, 64, 65, 129, 300};
+  const auto initial = kn::active();
+  thread_pool pool(3);
+  for (const std::size_t dim : dims) {
+    for (const std::size_t n : sizes) {
+      const auto hvs = clustered_hvs(n, dim, 1000 + n);
+      const auto f32 = hdc::pairwise_hamming_f32(hvs);
+      const auto q16 = hdc::pairwise_hamming_q16(hvs);
+      const std::string shape = "dim=" + std::to_string(dim) + "/";
+      for (const auto link : k_all_linkages) {
+        const auto want_f32 = nn_chain_hac_condensed(f32, link);
+        const auto want_q16 = nn_chain_hac_condensed(q16, link);
+        for (const auto v : {kn::variant::scalar, kn::variant::avx2, kn::variant::avx512}) {
+          if (!kn::supported(v)) continue;
+          kn::set_active(v);
+          for (thread_pool* p : {static_cast<thread_pool*>(nullptr), &pool}) {
+            const std::string where = std::string(kn::variant_name(v)) +
+                                      (p == nullptr ? "/serial/" : "/pool3/") + shape;
+            const auto got_f32 = nn_chain_hac(hvs, link, distance_grid::f32, p);
+            const auto got_q16 = nn_chain_hac(hvs, link, distance_grid::q16, p);
+            const auto name_f32 = where + case_name("f32", link, n, 1000 + n);
+            const auto name_q16 = where + case_name("q16", link, n, 1000 + n);
+            expect_identical(got_f32, want_f32, name_f32);
+            expect_same_stats(got_f32.stats, want_f32.stats, name_f32);
+            expect_identical(got_q16, want_q16, name_q16);
+            expect_same_stats(got_q16.stats, want_q16.stats, name_q16);
+          }
+        }
+      }
+    }
+  }
+  kn::set_active(initial);
 }
 
 // Large-matrix golden pass, labelled [perf]: excluded from the default

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spechd::hdc {
 namespace {
@@ -74,6 +75,32 @@ TEST(PairwiseHamming, EmptyAndSingleton) {
 TEST(PairwiseHamming, Q16HalfMemoryOfF32) {
   const auto hvs = random_hvs(32, 512, 6);
   EXPECT_EQ(pairwise_hamming_q16(hvs).bytes() * 2, pairwise_hamming_f32(hvs).bytes());
+}
+
+TEST(PairwiseHamming, SquareFillMatchesCondensedThroughTable) {
+  // Every off-diagonal entry of the square fill is the table value of the
+  // pair's count, mirrored; the diagonal keeps whatever was there. Sizes
+  // straddle the 64-row tile edge; serial and pooled sweeps must agree.
+  thread_pool pool(3);
+  std::vector<double> lut(513);
+  for (std::size_t c = 0; c < lut.size(); ++c) lut[c] = 1000.0 + static_cast<double>(c);
+  for (const std::size_t n : {0U, 1U, 2U, 63U, 64U, 65U, 129U, 200U}) {
+    const auto hvs = random_hvs(n, 512, 10 + n);
+    const auto m = pairwise_hamming_f32(hvs);
+    for (thread_pool* p : {static_cast<thread_pool*>(nullptr), &pool}) {
+      std::vector<double> out(n * n, -1.0);
+      pairwise_hamming_square(hvs, lut.data(), out.data(), p);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i * n + i], -1.0) << "n=" << n << " diagonal " << i;
+        for (std::size_t j = 0; j < i; ++j) {
+          const double want = lut[hamming(hvs[i], hvs[j])];
+          ASSERT_EQ(out[i * n + j], want) << "n=" << n << " (" << i << "," << j << ")";
+          ASSERT_EQ(out[j * n + i], want) << "n=" << n << " (" << j << "," << i << ")";
+          ASSERT_EQ(static_cast<float>((want - 1000.0) / 512.0), m.at(i, j));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -87,6 +87,35 @@ TEST(Mgf, ThrowsOnBadPeakLine) {
   EXPECT_THROW(read_mgf(in), parse_error);
 }
 
+TEST(Mgf, ParsesTabSeparatedPeakLines) {
+  std::istringstream in("BEGIN IONS\nPEPMASS=100\n50.25\t7.5\n60\t \t8\nEND IONS\n");
+  const auto spectra = read_mgf(in);
+  ASSERT_EQ(spectra.size(), 1U);
+  ASSERT_EQ(spectra[0].peaks.size(), 2U);
+  EXPECT_DOUBLE_EQ(spectra[0].peaks[0].mz, 50.25);
+  EXPECT_FLOAT_EQ(spectra[0].peaks[0].intensity, 7.5F);
+  EXPECT_DOUBLE_EQ(spectra[0].peaks[1].mz, 60.0);
+  EXPECT_FLOAT_EQ(spectra[0].peaks[1].intensity, 8.0F);
+}
+
+TEST(Mgf, IgnoresPeakChargeColumn) {
+  std::istringstream in("BEGIN IONS\nPEPMASS=100\n50.5 12 1+\n70.5\t3\t2\nEND IONS\n");
+  const auto spectra = read_mgf(in);
+  ASSERT_EQ(spectra.size(), 1U);
+  ASSERT_EQ(spectra[0].peaks.size(), 2U);
+  EXPECT_DOUBLE_EQ(spectra[0].peaks[0].mz, 50.5);
+  EXPECT_FLOAT_EQ(spectra[0].peaks[0].intensity, 12.0F);
+  EXPECT_DOUBLE_EQ(spectra[0].peaks[1].mz, 70.5);
+  EXPECT_FLOAT_EQ(spectra[0].peaks[1].intensity, 3.0F);
+}
+
+TEST(Mgf, ThrowsOnNonNumericIntensity) {
+  for (const char* line : {"50 1x", "50 x", "50", "50\t-"}) {
+    std::istringstream in(std::string("BEGIN IONS\nPEPMASS=100\n") + line + "\nEND IONS\n");
+    EXPECT_THROW(read_mgf(in), parse_error) << line;
+  }
+}
+
 TEST(Mgf, ThrowsOnEndWithoutBegin) {
   std::istringstream in("END IONS\n");
   EXPECT_THROW(read_mgf(in), parse_error);

@@ -30,6 +30,8 @@ frame_view decode_one(const std::string& bytes) {
   EXPECT_EQ(status, decode_status::ok);
   return frame;
 }
+/// A frame_view points into its buffer; decoding a temporary would dangle.
+frame_view decode_one(std::string&&) = delete;
 
 /// A snapshot exercising every wire field: counters, a signed gauge,
 /// histograms with and without buckets, and slow entries with stages.

@@ -36,6 +36,9 @@ frame_view decode_one(const std::string& bytes) {
   EXPECT_EQ(frame.frame_bytes, bytes.size());
   return frame;
 }
+/// A frame_view points into its buffer: decoding a temporary would leave it
+/// dangling once the full-expression ends, so name the buffer instead.
+frame_view decode_one(std::string&&) = delete;
 
 /// Builds a raw frame with an arbitrary (possibly bogus) payload — for
 /// crafting hostile bytes the encoders refuse to produce.
@@ -257,7 +260,8 @@ TEST(NetProtocol, IngestDeclaringHugeCountRejected) {
   payload.append(reinterpret_cast<const char*>(&id), sizeof(id));
   const std::uint64_t count = 1ull << 32;
   payload.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  const auto frame = decode_one(raw_frame(payload));
+  const auto bytes = raw_frame(payload);
+  const auto frame = decode_one(bytes);
   std::vector<ms::spectrum> batch;
   EXPECT_FALSE(parse_ingest_request(frame, batch));
 }
@@ -291,13 +295,13 @@ TEST(NetProtocol, HelloRejectsUnknownVersion) {
 TEST(NetProtocol, HelloRejectsBadMagicAndShortBody) {
   auto payload = hello_payload(k_protocol_version, k_endian_marker);
   payload[9] = 'X';  // corrupt first magic byte (after type + request_id)
-  EXPECT_EQ(parse_hello_request(decode_one(raw_frame(payload))),
-            hello_status::bad_magic);
+  const auto bad_magic = raw_frame(payload);
+  EXPECT_EQ(parse_hello_request(decode_one(bad_magic)), hello_status::bad_magic);
 
   auto short_payload = hello_payload(k_protocol_version, k_endian_marker);
   short_payload.resize(short_payload.size() - 2);
-  EXPECT_EQ(parse_hello_request(decode_one(raw_frame(short_payload))),
-            hello_status::malformed);
+  const auto short_body = raw_frame(short_payload);
+  EXPECT_EQ(parse_hello_request(decode_one(short_body)), hello_status::malformed);
 }
 
 TEST(NetProtocol, DecodeConsumesFramesInSequence) {

@@ -7,13 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -436,6 +442,45 @@ TEST(NetServer, GracefulStopFlushesAndJoins) {
   srv.reset();
   service.drain();
   EXPECT_GT(service.stats().record_count, 0u);
+}
+
+/// The fd numbers of this process's open eventfds.
+std::set<int> open_eventfds() {
+  std::set<int> fds;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (!ec && target.string() == "anon_inode:[eventfd]") {
+      fds.insert(std::stoi(entry.path().filename().string()));
+    }
+  }
+  return fds;
+}
+
+TEST(NetServer, RequestStopAfterStopNeverWritesIntoAReusedFd) {
+  serve::clustering_service service(make_serve_config(1));
+  const auto before = open_eventfds();
+  server srv(service, server_config{});
+  const auto after = open_eventfds();
+  std::vector<int> wake;
+  std::set_difference(after.begin(), after.end(), before.begin(), before.end(),
+                      std::back_inserter(wake));
+  ASSERT_EQ(wake.size(), 1U) << "expected exactly the server's wakeup eventfd";
+
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC), 0);
+  srv.stop();
+  // The pipe's write end takes the lowest free number at or above the wake
+  // fd's: that very number if the server has let go of it.
+  const int reused = ::fcntl(pipe_fds[1], F_DUPFD_CLOEXEC, wake[0]);
+  ASSERT_GE(reused, 0);
+  srv.request_stop();  // as a late signal or a second stop() would
+  char byte = 0;
+  EXPECT_EQ(::read(pipe_fds[0], &byte, 1), -1) << "request_stop wrote into fd " << reused;
+  EXPECT_EQ(errno, EAGAIN);
+  ::close(reused);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
 }
 
 }  // namespace
