@@ -11,6 +11,36 @@
 
 namespace spechd::core {
 
+linkage_match select_complete_linkage(const std::uint32_t* counts,
+                                      const std::int32_t* labels, std::size_t n,
+                                      std::int32_t cluster_count, std::size_t dim,
+                                      double threshold, linkage_tally* scratch) noexcept {
+  const auto clusters = static_cast<std::size_t>(cluster_count);
+  std::fill(scratch, scratch + clusters, linkage_tally{});
+  for (std::size_t i = 0; i < n; ++i) {
+    linkage_tally& t = scratch[labels[i]];
+    t.worst = std::max(t.worst, counts[i]);
+    ++t.members;
+  }
+  // count / dim is monotone in count, so the max-reduce over counts picks
+  // the same worst distance a per-member reduce over doubles would.
+  linkage_match match;
+  double best = threshold;
+  const double d_dim = static_cast<double>(dim);
+  for (std::size_t c = 0; c < clusters; ++c) {
+    const linkage_tally& t = scratch[c];
+    if (t.members == 0) continue;
+    const double w = static_cast<double>(t.worst) / d_dim;
+    if (w <= best) {
+      best = w;
+      match.label = static_cast<std::int32_t>(c);
+      match.distance = w;
+      match.size = t.members;
+    }
+  }
+  return match;
+}
+
 incremental_clusterer::incremental_clusterer(spechd_config config, assign_mode mode)
     : config_(std::move(config)),
       mode_(mode),
@@ -152,44 +182,32 @@ void incremental_clusterer::assign(bucket_state& bucket, std::uint32_t index,
       }
     }
   } else {
-    // Complete-linkage test: per existing cluster, the *worst* distance to
-    // any member must stay below the cut for a join. The whole member row
-    // is computed with one dispatched Hamming-tile call (same kernels, and
-    // bit-identical normalisation, as the per-pair path it replaces). The
-    // *pointer* tile is deliberate here: packing amortises over many rows
-    // (distance.cpp's O(n²) sweep packs once for n row sweeps), but this
-    // is a single-row call that reads each member exactly once — staging
-    // members into a packed blob would cost a full extra copy pass per
-    // ingested spectrum for zero kernel-side gain. The pointer array and
-    // counts row are still carved from one pooled arena so the hot
+    // Complete-linkage test (select_complete_linkage) over one member row
+    // computed with one dispatched Hamming-tile call. The *pointer* tile is
+    // deliberate here: packing amortises over many rows (distance.cpp's
+    // O(n²) sweep packs once for n row sweeps), but this is a single-row
+    // call that reads each member exactly once — staging members into a
+    // packed blob would cost a full extra copy pass per ingested spectrum
+    // for zero kernel-side gain. The pointer array, the per-label tallies
+    // and the counts row are carved from one pooled arena so the hot
     // ingestion path does no per-assign heap allocation.
-    std::map<std::int32_t, double> worst;
     const std::size_t existing = bucket.members.size() - 1;
     if (existing > 0) {
-      const std::size_t words = hv.word_count();
-      const double dim = static_cast<double>(hv.dim());
+      const auto clusters = static_cast<std::size_t>(bucket.next_local);
       arena_lease scratch = arena_pool::global().checkout(
-          existing * (sizeof(const std::uint64_t*) + sizeof(std::uint32_t)));
+          existing * (sizeof(const std::uint64_t*) + sizeof(std::uint32_t)) +
+          clusters * sizeof(linkage_tally));
       const std::uint64_t** const cols = scratch.as<const std::uint64_t*>(existing);
       for (std::size_t i = 0; i < existing; ++i) {
         cols[i] = records_[bucket.members[i]].hv.words().data();
       }
-      auto* const counts = reinterpret_cast<std::uint32_t*>(cols + existing);
+      auto* const tallies = reinterpret_cast<linkage_tally*>(cols + existing);
+      auto* const counts = reinterpret_cast<std::uint32_t*>(tallies + clusters);
       const std::uint64_t* row = hv.words().data();
-      hdc::kernels::hamming_tile(&row, 1, cols, existing, words, counts);
-      for (std::size_t i = 0; i < existing; ++i) {
-        const auto label = bucket.local_labels[i];
-        const double d = static_cast<double>(counts[i]) / dim;
-        auto [it, inserted] = worst.try_emplace(label, d);
-        if (!inserted) it->second = std::max(it->second, d);
-      }
-    }
-    double best_worst = threshold;
-    for (const auto& [label, w] : worst) {
-      if (w <= best_worst) {
-        best_worst = w;
-        best_label = label;
-      }
+      hdc::kernels::hamming_tile(&row, 1, cols, existing, hv.word_count(), counts);
+      best_label = select_complete_linkage(counts, bucket.local_labels.data(), existing,
+                                           bucket.next_local, hv.dim(), threshold, tallies)
+                       .label;
     }
   }
 

@@ -82,6 +82,33 @@ enum class assign_mode {
   bundle_representative,
 };
 
+/// Per-cluster scratch of select_complete_linkage: the largest member
+/// Hamming count and the member count of one local label.
+struct linkage_tally {
+  std::uint32_t worst = 0;
+  std::uint32_t members = 0;
+};
+
+/// Outcome of the complete-linkage select over one bucket.
+struct linkage_match {
+  std::int32_t label = -1;   ///< -1: no cluster passes the cut
+  double distance = 1.0;     ///< worst member distance to `label`
+  std::size_t size = 0;      ///< members labelled `label`
+};
+
+/// The complete-linkage criterion shared by ingest assignment and serve
+/// queries: given the Hamming count of a query to each of `n` members and
+/// the members' local labels (all in [0, cluster_count)), picks the
+/// cluster whose *worst* member distance (count / dim) is smallest and at
+/// most `threshold`. Labels are scanned in ascending order and `<=` keeps
+/// the later label on ties; labels with no member are skipped. One
+/// max-reduce into `scratch` (cluster_count entries, overwritten; no
+/// allocation) plus one scan — O(n + cluster_count).
+linkage_match select_complete_linkage(const std::uint32_t* counts,
+                                      const std::int32_t* labels, std::size_t n,
+                                      std::int32_t cluster_count, std::size_t dim,
+                                      double threshold, linkage_tally* scratch) noexcept;
+
 /// Streaming/incremental front end over per-bucket cluster state.
 ///
 /// Thread-safety: an instance has single-owner semantics — do not call

@@ -11,7 +11,14 @@
 //   2. replays, per shard, every journal at generations >= that base, in
 //      generation order — ingest-batch records re-run the deterministic
 //      push_batch pipeline, recluster records re-run
-//      rebuild_dirty_buckets at the same stream position;
+//      rebuild_dirty_buckets at the same stream position. Shards replay
+//      in parallel, one per thread of a recovery-local pool, and
+//      consecutive replayable ingest records are coalesced into one
+//      push_batch of at most 2048 spectra (a recluster record, or the end
+//      of a generation, flushes the pending batch first). Coalescing is
+//      bit-identical: push_batch advances each bucket in arrival order and
+//      preprocesses per spectrum, so one call over A++B equals calls over
+//      A then B;
 //   3. tolerates a torn tail on a shard's *newest* journal by stopping at
 //      the last complete record (the writer truncates there when it
 //      reopens the file). A torn record in a non-newest journal means the
@@ -23,12 +30,15 @@
 //      txn-tagged batch whose commit record or peer data records did not
 //      survive (a torn multi-shard batch thus vanishes everywhere instead
 //      of applying on some shards only). Plain records (txn_id 0) replay
-//      unconditionally, as before.
+//      unconditionally. Pass 1 also scans shards in parallel; merging
+//      their transaction evidence is the only step that crosses shards.
 //
 // The result is bit-identical to the state the service held when the
 // durable prefix was written — pinned by tests/serve/test_journal.cpp at
-// shard/thread counts {1, 4}, including a journaled maintenance
-// recluster and a torn final record.
+// shard/thread counts {1, 4}, including journaled maintenance reclusters,
+// a compaction generation, and torn final records and transactions. When
+// several shards fail validation, the error of the lowest-numbered one is
+// thrown, as a serial pass would.
 #pragma once
 
 #include <cstdint>
@@ -82,9 +92,12 @@ struct recovered_state {
 /// directory alone, mirroring `serve --restore`.
 std::optional<snapshot_identity> probe_journal_dir(const std::string& dir);
 
-/// Replay progress, reported once per journal generation replayed (pass
-/// 2) so large-journal recoveries are observable instead of silent —
-/// `spechd recover` prints one line per callback.
+/// Replay progress, reported once per (shard, journal generation)
+/// replayed (pass 2) so large-journal recoveries are observable instead of
+/// silent — `spechd recover` prints one line per callback. Shards replay
+/// concurrently, so callbacks for different shards interleave; they are
+/// serialised under a mutex (never concurrent), and total_records_replayed
+/// grows strictly from one callback to the next whenever records did.
 struct recovery_progress {
   std::size_t shard = 0;
   std::uint64_t generation = 0;

@@ -8,7 +8,7 @@
 //
 //   ingest(batch) ─▶ shard_router ─▶ per-shard mpsc queues ─▶ writer threads
 //                                                               │
-//   query(spectrum) ◀── published shard views (lock-free) ◀── publish
+//   query(spectrum) ◀── published shard views (RCU epochs) ◀── publish
 //                                                               │
 //   snapshot_file() / restore_file()  ◀──────────── .sphsnap ───┘
 //
@@ -70,8 +70,9 @@ struct serve_config {
   /// threads per multi-shard batch (single-shard batches are unaffected),
   /// so it is off by default.
   bool atomic_ingest = false;
-  /// Invoked once per journal generation replayed during construction-time
-  /// recovery (serve/recovery.hpp) — `spechd recover` prints one progress
+  /// Invoked once per (shard, journal generation) replayed during
+  /// construction-time recovery (serve/recovery.hpp), from the replay
+  /// threads but never concurrently — `spechd recover` prints one progress
   /// line per callback. Unset: recovery is silent.
   recovery_progress_fn recovery_progress;
 };

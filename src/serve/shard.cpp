@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
+#include "util/arena_pool.hpp"
 
 namespace spechd::serve {
 
@@ -539,12 +540,17 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
       obs::registry::instance().histogram("spechd_query_select_ns");
 
   // One packed Hamming-tile row against every member — the same kernels
-  // (and the same normalisation) the ingest assignment path uses.
+  // (and the same normalisation) the ingest assignment path uses. The
+  // counts row and the select's per-label tallies share one pooled arena.
   obs::trace_span probe_span(probe_ns, obs::stage::bucket_probe);
   const std::size_t n = bucket.member_count;
-  std::vector<std::uint32_t> counts(n);
+  const auto clusters = static_cast<std::size_t>(bucket.cluster_count);
+  arena_lease scratch = arena_pool::global().checkout(
+      clusters * sizeof(core::linkage_tally) + n * sizeof(std::uint32_t));
+  auto* const tallies = scratch.as<core::linkage_tally>(clusters);
+  auto* const counts = reinterpret_cast<std::uint32_t*>(tallies + clusters);
   hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.packed.data(), n,
-                                    bucket.hv_words, counts.data());
+                                    bucket.hv_words, counts);
 
   const double dim = static_cast<double>(hv.dim());
   for (std::size_t i = 0; i < n; ++i) {
@@ -554,45 +560,38 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   probe_span.finish();
 
   obs::trace_span select_span(select_ns, obs::stage::select);
-  double best = threshold;
-  std::int32_t best_label = -1;
+  core::linkage_match match;
   if (mode_ == core::assign_mode::bundle_representative) {
     // Bundle mode assigns against per-cluster majority representatives;
     // query the same way (one tiny tile over the reps). Tie semantics
     // match assign(): ascending label order, `<=` keeps the later label.
-    const auto clusters = static_cast<std::size_t>(bucket.cluster_count);
     std::vector<std::uint32_t> rep_counts(clusters);
     hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.rep_packed.data(),
                                       clusters, bucket.hv_words, rep_counts.data());
+    double best = threshold;
     for (std::size_t c = 0; c < clusters; ++c) {
       const double d = static_cast<double>(rep_counts[c]) / dim;
       if (d <= best) {
         best = d;
-        best_label = static_cast<std::int32_t>(c);
+        match.label = static_cast<std::int32_t>(c);
+        match.distance = d;
       }
+    }
+    if (match.label >= 0) {
+      match.size = static_cast<std::size_t>(
+          std::count(bucket.labels.begin(), bucket.labels.end(), match.label));
     }
   } else {
-    // Complete linkage: per cluster, the *worst* member distance must
-    // pass the cut; best worst wins. Same criterion as assign().
-    std::map<std::int32_t, double> worst;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = static_cast<double>(counts[i]) / dim;
-      auto [w, inserted] = worst.try_emplace(bucket.labels[i], d);
-      if (!inserted) w->second = std::max(w->second, d);
-    }
-    for (const auto& [label, w] : worst) {
-      if (w <= best) {
-        best = w;
-        best_label = label;
-      }
-    }
+    // Complete linkage: the same criterion, and the same code, as assign().
+    match = core::select_complete_linkage(counts, bucket.labels.data(), n,
+                                          bucket.cluster_count, hv.dim(), threshold,
+                                          tallies);
   }
-  if (best_label >= 0) {
+  if (match.label >= 0) {
     result.matched = true;
-    result.local_label = best_label;
-    result.distance = best;
-    result.cluster_size = static_cast<std::size_t>(
-        std::count(bucket.labels.begin(), bucket.labels.end(), best_label));
+    result.local_label = match.label;
+    result.distance = match.distance;
+    result.cluster_size = match.size;
   }
   return result;
 }

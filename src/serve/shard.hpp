@@ -10,8 +10,8 @@
 //                            │ after each batch: rebuild views of the
 //                            │ buckets the batch touched (copy-on-write)
 //                            ▼
-//                  rcu_ptr<shard_view> ◀──load── query threads (lock-free
-//                                                 reads, never block ingest)
+//                  rcu_ptr<shard_view> ◀──load── query threads (one pointer
+//                                                 copy, never wait on ingest)
 //
 // The writer thread is the *only* code that touches the clusterer, so the
 // clusterer's single-owner contract holds by construction and per-shard

@@ -1,5 +1,5 @@
 // RCU-style published pointer: single writer swaps in immutable snapshots,
-// many readers load them without blocking the writer (or each other).
+// many readers load them and keep them alive as long as they need.
 //
 // The serve layer publishes per-shard cluster views this way: the shard's
 // writer thread builds a fresh immutable view after applying a batch and
@@ -8,14 +8,16 @@
 // automatically when the last reader drops its reference — shared_ptr *is*
 // the grace period.
 //
-// On libstdc++/libc++ with C++20 atomic<shared_ptr> the load is lock-free
-// from the caller's perspective (the implementation may use a small
-// spinlock pool internally); elsewhere we fall back to the atomic free
-// functions for shared_ptr, which have the same semantics.
+// The slot itself is guarded by a mutex held only for one shared_ptr copy
+// or swap (a reference-count increment), never while a view is built or
+// destroyed: the writer releases the previous epoch after unlocking. A
+// plain mutex gives a clean happens-before edge between store and load,
+// which libstdc++ 12's atomic<shared_ptr> does not (its internal lock
+// unlocks with a relaxed RMW, which ThreadSanitizer reports as a race).
 #pragma once
 
 #include <memory>
-#include <version>
+#include <mutex>
 
 namespace spechd {
 
@@ -23,37 +25,31 @@ template <typename T>
 class rcu_ptr {
 public:
   rcu_ptr() = default;
-  explicit rcu_ptr(std::shared_ptr<const T> initial) { store(std::move(initial)); }
+  explicit rcu_ptr(std::shared_ptr<const T> initial) : slot_(std::move(initial)) {}
 
   rcu_ptr(const rcu_ptr&) = delete;
   rcu_ptr& operator=(const rcu_ptr&) = delete;
 
-  /// Current snapshot (may be null before the first store). Never blocks
-  /// on the writer; the returned shared_ptr keeps the epoch alive.
-  std::shared_ptr<const T> load() const noexcept {
-#if defined(__cpp_lib_atomic_shared_ptr)
-    return slot_.load(std::memory_order_acquire);
-#else
-    return std::atomic_load_explicit(&slot_, std::memory_order_acquire);
-#endif
+  /// Current snapshot (may be null before the first store). Waits at most
+  /// for one pointer copy; the returned shared_ptr keeps the epoch alive.
+  std::shared_ptr<const T> load() const {
+    std::lock_guard lock(mutex_);
+    return slot_;
   }
 
-  /// Publishes a new snapshot; readers mid-load keep the old epoch.
-  void store(std::shared_ptr<const T> next) noexcept {
-#if defined(__cpp_lib_atomic_shared_ptr)
-    slot_.store(std::move(next), std::memory_order_release);
-#else
-    std::atomic_store_explicit(&slot_, std::shared_ptr<const T>(std::move(next)),
-                               std::memory_order_release);
-#endif
+  /// Publishes a new snapshot; readers holding the old epoch keep it.
+  void store(std::shared_ptr<const T> next) {
+    {
+      std::lock_guard lock(mutex_);
+      slot_.swap(next);
+    }
+    // `next` now holds the previous epoch: if this was its last reference,
+    // it is destroyed here, outside the lock.
   }
 
 private:
-#if defined(__cpp_lib_atomic_shared_ptr)
-  std::atomic<std::shared_ptr<const T>> slot_;
-#else
+  mutable std::mutex mutex_;
   std::shared_ptr<const T> slot_;
-#endif
 };
 
 }  // namespace spechd

@@ -9,6 +9,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -457,6 +460,197 @@ TEST(JournalRecovery, MismatchedConfigurationIsRejected) {
   // The original configuration still recovers fine afterwards.
   clustering_service ok(sc);
   EXPECT_TRUE(ok.recovery().recovered);
+}
+
+/// Report a one-shard-at-a-time replay of `dir` must produce, computed
+/// straight from the journal files: generations >= `base` (all when
+/// nullopt), transaction evidence gathered over every shard first, then
+/// one count per record.
+recovery_report serial_expectation(const std::string& dir, std::size_t shards,
+                                   std::optional<std::uint64_t> base) {
+  struct evidence {
+    std::uint32_t declared = 0;
+    std::uint32_t data = 0;
+    bool committed = false;
+  };
+  recovery_report r;
+  r.recovered = true;
+  r.base_snapshot_generation = base;
+  std::vector<std::pair<std::string, journal_scan>> scans;
+  for (const auto& entry : scan_journal_dir(dir).journals) {
+    if (base && entry.generation < *base) continue;
+    EXPECT_LT(entry.shard, shards);
+    const auto path = journal_shard_path(dir, entry.shard, entry.generation);
+    scans.emplace_back(path, read_journal_file(path));
+  }
+  std::map<std::uint64_t, evidence> txns;
+  for (const auto& [path, scan] : scans) {
+    for (const auto& record : scan.records) {
+      if (record.type == journal_record::kind::commit) {
+        txns[record.txn_id].committed = true;
+      } else if (record.type == journal_record::kind::ingest_batch && record.txn_id != 0) {
+        auto& e = txns[record.txn_id];
+        ++e.data;
+        e.declared = std::max(e.declared, record.participants);
+      }
+      r.max_txn_id = std::max(r.max_txn_id, record.txn_id);
+    }
+  }
+  for (const auto& [path, scan] : scans) {
+    ++r.journal_files;
+    if (scan.torn) r.torn_bytes += std::filesystem::file_size(path) - scan.valid_bytes;
+    for (const auto& record : scan.records) {
+      if (record.type == journal_record::kind::recluster) {
+        ++r.reclusters_replayed;
+      } else if (record.type == journal_record::kind::ingest_batch) {
+        const auto it = txns.find(record.txn_id);
+        if (record.txn_id != 0 &&
+            (!it->second.committed || it->second.data < it->second.declared)) {
+          ++r.txn_batches_dropped;
+        } else {
+          ++r.batches_replayed;
+          r.spectra_replayed += record.batch.size();
+        }
+      }
+    }
+  }
+  return r;
+}
+
+void expect_same_counters(const recovery_report& got, const recovery_report& want) {
+  EXPECT_EQ(got.recovered, want.recovered);
+  EXPECT_EQ(got.base_snapshot_generation, want.base_snapshot_generation);
+  EXPECT_EQ(got.journal_files, want.journal_files);
+  EXPECT_EQ(got.batches_replayed, want.batches_replayed);
+  EXPECT_EQ(got.spectra_replayed, want.spectra_replayed);
+  EXPECT_EQ(got.reclusters_replayed, want.reclusters_replayed);
+  EXPECT_EQ(got.torn_bytes, want.torn_bytes);
+  EXPECT_EQ(got.txn_batches_dropped, want.txn_batches_dropped);
+  EXPECT_EQ(got.max_txn_id, want.max_txn_id);
+}
+
+/// Recovers `dir` with a recording progress callback and checks the
+/// callbacks: exactly once per (shard, generation) replayed, each with
+/// that file's record count, under strictly increasing running totals
+/// that end at the sum of the records.
+recovered_state recover_and_check_progress(const std::string& dir, const serve_config& sc,
+                                           const snapshot_identity& identity,
+                                           std::size_t generations_per_shard) {
+  std::vector<recovery_progress> calls;
+  auto out = recover_journal_dir(dir, sc.pipeline, sc.mode, sc.shards, identity,
+                                 [&](const recovery_progress& p) { calls.push_back(p); });
+  EXPECT_EQ(calls.size(), sc.shards * generations_per_shard);
+  std::set<std::pair<std::size_t, std::uint64_t>> seen;
+  std::uint64_t total = 0;
+  for (const auto& p : calls) {
+    EXPECT_TRUE(seen.emplace(p.shard, p.generation).second)
+        << "shard " << p.shard << " generation " << p.generation << " reported twice";
+    EXPECT_EQ(p.records_replayed,
+              read_journal_file(journal_shard_path(dir, p.shard, p.generation))
+                  .records.size());
+    EXPECT_GT(p.total_records_replayed, total);
+    total += p.records_replayed;
+    EXPECT_EQ(p.total_records_replayed, total);
+  }
+  return out;
+}
+
+TEST(JournalRecovery, ParallelCoalescedReplayMatchesSerialExpectation) {
+  // Four shards replayed concurrently, with journaled maintenance
+  // reclusters between ingests (each one flushes the coalesced batch), a
+  // compaction generation, and a torn multi-shard transaction at the end.
+  constexpr std::size_t shards = 4;
+  const auto stream = sample_stream(48, 91);
+  const std::size_t a = stream.size() / 4;
+  const std::size_t b = stream.size() / 2;
+  const std::size_t c = stream.size() - 40;  // the final transaction: [c, end)
+
+  clustering_service reference(make_serve_config(shards));
+  ingest_in_batches(reference, stream, 0, a);
+  reference.drain();
+  reference.run_maintenance_now();
+  ingest_in_batches(reference, stream, a, c);
+  reference.drain();
+  reference.run_maintenance_now();
+  const auto golden = canonical_state(reference.export_states());
+
+  temp_dir dir("parallel");
+  auto sc = make_serve_config(shards);
+  sc.journal.dir = dir.path;
+  sc.journal.fsync = false;
+  sc.atomic_ingest = true;
+  snapshot_identity identity;
+  {
+    clustering_service service(sc);
+    identity = service.identity();
+    ingest_in_batches(service, stream, 0, a);
+    service.drain();
+    EXPECT_GT(service.run_maintenance_now(), 0U);
+    ingest_in_batches(service, stream, a, b);
+    service.drain();
+    // Keep generation 0: it is replayed again below, in the layout a
+    // crash between journal rotation and the snapshot write leaves.
+    std::filesystem::create_directories(dir.path + "/keep");
+    for (std::size_t s = 0; s < shards; ++s) {
+      const auto path = journal_shard_path(dir.path, s, 0);
+      std::filesystem::copy_file(
+          path, dir.path + "/keep/" + std::filesystem::path(path).filename().string());
+    }
+    service.compact_journal();
+    ingest_in_batches(service, stream, b, c);
+    service.drain();
+    EXPECT_GT(service.run_maintenance_now(), 0U);
+    EXPECT_EQ(canonical_state(service.export_states()), golden);
+    service.ingest({stream.begin() + static_cast<std::ptrdiff_t>(c), stream.end()});
+    service.drain();
+    ASSERT_NE(canonical_state(service.export_states()), golden);
+  }
+
+  // Tear the final transaction's commit record (the last record on its
+  // coordinator): every participant's slice must vanish.
+  std::uint64_t last_txn = 0;
+  std::size_t coordinator = shards;
+  for (std::size_t s = 0; s < shards; ++s) {
+    const auto scan = read_journal_file(journal_shard_path(dir.path, s, 1));
+    ASSERT_FALSE(scan.records.empty()) << "shard " << s;
+    const auto& last = scan.records.back();
+    if (last.type == journal_record::kind::commit && last.txn_id > last_txn) {
+      last_txn = last.txn_id;
+      coordinator = s;
+    }
+  }
+  ASSERT_LT(coordinator, shards);
+  chop_tail(journal_shard_path(dir.path, coordinator, 1), 4);
+
+  {
+    SCOPED_TRACE("snapshot base, one generation per shard");
+    const auto want = serial_expectation(dir.path, shards, 1);
+    EXPECT_GE(want.txn_batches_dropped, 2U);
+    EXPECT_GT(want.reclusters_replayed, 0U);
+    const auto got = recover_and_check_progress(dir.path, sc, identity, 1);
+    expect_same_counters(got.report, want);
+    EXPECT_EQ(canonical_state(got.shards), golden);
+  }
+
+  for (std::size_t s = 0; s < shards; ++s) {
+    const auto path = journal_shard_path(dir.path, s, 0);
+    std::filesystem::rename(
+        dir.path + "/keep/" + std::filesystem::path(path).filename().string(), path);
+  }
+  std::filesystem::remove(journal_snapshot_path(dir.path, 1));
+  const auto want = serial_expectation(dir.path, shards, std::nullopt);
+  EXPECT_EQ(want.journal_files, 2 * shards);
+  {
+    SCOPED_TRACE("no snapshot, two generations per shard");
+    const auto got = recover_and_check_progress(dir.path, sc, identity, 2);
+    expect_same_counters(got.report, want);
+    EXPECT_EQ(canonical_state(got.shards), golden);
+  }
+
+  // The service path: same counters, same state.
+  clustering_service recovered(sc);
+  expect_same_counters(recovered.recovery(), want);
+  EXPECT_EQ(canonical_state(recovered.export_states()), golden);
 }
 
 // --- compaction --------------------------------------------------------------

@@ -1235,8 +1235,9 @@ int cmd_recover(arg_list& args) {
     }
     apply_identity(config, *id);
     config.shards = id->shard_count;
-    // One line per journal generation replayed, so a large recovery shows
-    // live progress instead of a silent pause.
+    // One line per (shard, journal generation) replayed, so a large
+    // recovery shows live progress instead of a silent pause. Shards
+    // replay in parallel: their lines interleave, each line whole.
     config.recovery_progress = [](const serve::recovery_progress& p) {
       std::cout << "  replaying shard " << p.shard << " generation " << p.generation
                 << ": " << p.records_replayed << " records ("
